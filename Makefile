@@ -97,11 +97,14 @@ fleet-smoke:
 ## fastcap-smoke: the fleet-scale power-capping suite under the race
 ## detector — the fastcap allocator/frontier/rebalancer property tests
 ## (Float64bits-identical allocations across replays and node orderings,
-## budget conservation, allocation-free steady state) plus a reduced-grid
-## run of the -exp fastcap cap-event experiment (mirrors CI's fastcap-smoke
-## job; see DESIGN.md §13)
+## budget conservation, allocation-free steady state) — then the zero-alloc
+## gates of the PowerCap, frontier and rebalancer walks and one iteration of
+## their benchmarks, plus a reduced-grid run of the -exp fastcap cap-event
+## experiment (mirrors CI's fastcap-smoke job; see DESIGN.md §13)
 fastcap-smoke:
 	$(GO) test -race -count=1 ./internal/fastcap
+	$(GO) test -count=1 -run 'PowerCapZeroAlloc|FrontierBuildZeroAlloc|RebalancerEpochZeroAlloc' .
+	$(GO) test -run='^$$' -bench 'BenchmarkPowerCap[0-9]|BenchmarkFrontier' -benchtime=1x -benchmem .
 	$(GO) test -race -count=1 -run 'TestFastCap' ./internal/experiments
 	$(GO) run -race ./cmd/coscale-experiments -exp fastcap -fastcap-nodes 3 -fastcap-epochs 12
 

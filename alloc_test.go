@@ -1,11 +1,13 @@
 package coscale
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"coscale/internal/core"
 	"coscale/internal/experiments"
+	"coscale/internal/fastcap"
 	"coscale/internal/policy"
 )
 
@@ -33,6 +35,95 @@ func TestDecideZeroAllocSteadyState(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%d cores: Decide allocates %.1f times per call in steady state, want 0", n, avg)
 		}
+	}
+}
+
+// TestPowerCapZeroAllocSteadyState extends the gate to the capping walk:
+// PowerCap runs the CoScale descent with a power stop rule, so once its
+// scratch is warm neither DecideCapped nor Observe (CoScale's slack
+// accounting, on sim.Engine.step's path every epoch) may allocate.
+func TestPowerCapZeroAllocSteadyState(t *testing.T) {
+	for _, n := range []int{16, 64} {
+		cfg, obs := experiments.SearchBenchObs(n)
+		obs.Window = cfg.EpochLen.Seconds()
+		pc := must(core.NewPowerCap(cfg, must(experiments.SearchBenchCap(cfg, obs))))
+		pc.Observe(obs)
+		if _, err := pc.DecideCapped(obs); err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(100, func() { pc.Observe(obs) }); avg != 0 {
+			t.Errorf("%d cores: PowerCap.Observe allocates %.1f times per call, want 0", n, avg)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			if _, err := pc.DecideCapped(obs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%d cores: PowerCap.DecideCapped allocates %.1f times per call in steady state, want 0", n, avg)
+		}
+	}
+}
+
+// capFleet is the fleet-cap shape of the capping gates: one 16-core and
+// one 32-core node sharing a platform-table cache, so a single Builder or
+// Rebalancer alternates between core counts on every round.
+func capFleet() ([]policy.Config, []policy.Observation) {
+	tables := &policy.TableCache{}
+	var cfgs []policy.Config
+	var obs []policy.Observation
+	for _, n := range []int{16, 32} {
+		cfg, o := experiments.SearchBenchObs(n)
+		cfg.Tables = tables
+		cfgs, obs = append(cfgs, cfg), append(obs, o)
+	}
+	return cfgs, obs
+}
+
+// TestFrontierBuildZeroAllocSteadyState gates the frontier walk: a warm
+// Builder serving nodes of different core counts must not allocate.
+func TestFrontierBuildZeroAllocSteadyState(t *testing.T) {
+	cfgs, obs := capFleet()
+	var b fastcap.Builder
+	fronts := make([]fastcap.Frontier, len(cfgs))
+	build := func() {
+		for i := range cfgs {
+			if err := b.Build(&fronts[i], cfgs[i], obs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	build()
+	if avg := testing.AllocsPerRun(50, build); avg != 0 {
+		t.Errorf("Builder.Build allocates %.1f times per 16+32-core round in steady state, want 0", avg)
+	}
+}
+
+// TestRebalancerEpochZeroAllocSteadyState gates a whole rebalancing epoch —
+// frontier builds, allocation, and each node's PowerCap decision — over the
+// alternating 16/32-core fleet.
+func TestRebalancerEpochZeroAllocSteadyState(t *testing.T) {
+	cfgs, obs := capFleet()
+	r := fastcap.NewRebalancer(fastcap.Fair)
+	budget := 0.0
+	for i, cfg := range cfgs {
+		if err := r.AddNode(fmt.Sprintf("node-%d", i), cfg); err != nil {
+			t.Fatal(err)
+		}
+		budget += 0.8 * policy.NewEvaluator(cfg, obs[i]).Baseline().Power.Total
+	}
+	out := make([]fastcap.NodeEpoch, 0, len(cfgs))
+	var err error
+	if out, err = r.Epoch(budget, obs, out[:0]); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		if out, err = r.Epoch(budget, obs, out[:0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("Rebalancer.Epoch allocates %.1f times per epoch in steady state, want 0", avg)
 	}
 }
 

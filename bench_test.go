@@ -19,6 +19,7 @@ import (
 	"coscale/internal/core"
 	"coscale/internal/dram"
 	"coscale/internal/experiments"
+	"coscale/internal/fastcap"
 	"coscale/internal/policy"
 	"coscale/internal/sim"
 	"coscale/internal/trace"
@@ -463,6 +464,51 @@ func BenchmarkPowerCap(b *testing.B) {
 		}
 	}
 }
+
+// benchPowerCap measures one capped decision over the search benchmark's
+// observation with the cap halfway down the node's frontier: the PowerCap
+// walk — the CoScale descent stopped at the first point under the cap.
+func benchPowerCap(b *testing.B, n int) {
+	cfg, obs := searchBenchObs(n)
+	pc := must(core.NewPowerCap(cfg, must(experiments.SearchBenchCap(cfg, obs))))
+	if _, err := pc.DecideCapped(obs); err != nil { // warm: sizes every scratch buffer
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pc.DecideCapped(obs)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(pc.SearchStats().Moves), "moves")
+}
+
+func BenchmarkPowerCap16Cores(b *testing.B)  { benchPowerCap(b, 16) }
+func BenchmarkPowerCap64Cores(b *testing.B)  { benchPowerCap(b, 64) }
+func BenchmarkPowerCap256Cores(b *testing.B) { benchPowerCap(b, 256) }
+
+// benchFrontier measures one frontier build over the search benchmark's
+// observation: the CoScale descent with every limit lifted, recorded from
+// all-max to the floor and Pareto-filtered.
+func benchFrontier(b *testing.B, n int) {
+	cfg, obs := searchBenchObs(n)
+	var fb fastcap.Builder
+	var f fastcap.Frontier
+	if err := fb.Build(&f, cfg, obs); err != nil { // warm
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fb.Build(&f, cfg, obs)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(f.Len()), "points")
+}
+
+func BenchmarkFrontier16Cores(b *testing.B)  { benchFrontier(b, 16) }
+func BenchmarkFrontier64Cores(b *testing.B)  { benchFrontier(b, 64) }
+func BenchmarkFrontier256Cores(b *testing.B) { benchFrontier(b, 256) }
 
 // BenchmarkEpochSimulation measures raw fast-backend throughput in steady
 // state: the engine and controller are built once and rewound per iteration

@@ -1,6 +1,7 @@
 // Command coscale-bench runs the headline performance benchmarks — the §3.1
 // search cost at 16-1024 cores (serial and sharded across -parallelism
-// worker lanes), batched DecideAll over the shared platform-table cache,
+// worker lanes), power-capping decisions and FastCap frontier builds at
+// 16-256 cores, batched DecideAll over the shared platform-table cache,
 // and the raw epoch-simulation throughput — plus a timed figure
 // regeneration, and writes the numbers as machine-readable JSON. The committed BENCH_baseline.json at the repository root is this
 // program's output; regenerate it with `make bench-json`.
@@ -39,6 +40,7 @@ import (
 	"coscale/internal/buildinfo"
 	"coscale/internal/core"
 	"coscale/internal/experiments"
+	"coscale/internal/fastcap"
 	"coscale/internal/policy"
 	"coscale/internal/sim"
 	"coscale/internal/workload"
@@ -191,6 +193,50 @@ func main() {
 		}
 		rep.Benchmarks = append(rep.Benchmarks, row)
 		cs.Close()
+	}
+
+	// Power capping (§2.3) and FastCap frontiers: the same descent under the
+	// capping and frontier stop rules, the cap halfway down the frontier.
+	for _, n := range []int{16, 64, 256} {
+		cfg, obs := experiments.SearchBenchObs(n)
+		capW, err := experiments.SearchBenchCap(cfg, obs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		pc, err := core.NewPowerCap(cfg, capW)
+		if err != nil {
+			log.Fatal(err)
+		}
+		pc.DecideCapped(obs) // warm: sizes every scratch buffer
+		row := bench(fmt.Sprintf("PowerCap%dCores", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pc.DecideCapped(obs)
+			}
+		})
+		if st := pc.SearchStats(); st.Moves > 0 {
+			row.Moves = st.Moves
+			row.NsPerMove = row.NsPerOp / float64(st.Moves)
+		}
+		rep.Benchmarks = append(rep.Benchmarks, row)
+	}
+	for _, n := range []int{16, 64, 256} {
+		cfg, obs := experiments.SearchBenchObs(n)
+		var fb fastcap.Builder
+		var f fastcap.Frontier
+		if err := fb.Build(&f, cfg, obs); err != nil { // warm
+			log.Fatal(err)
+		}
+		rep.Benchmarks = append(rep.Benchmarks, bench(fmt.Sprintf("Frontier%dCores", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := fb.Build(&f, cfg, obs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
 	}
 
 	// Batched decisions over the shared per-platform table cache: eight

@@ -37,7 +37,7 @@ func main() {
 		fmt.Printf("%4.0f%% (%3.0fW) %10.0f W %11.1f%% %12v\n",
 			frac*100, capW, avg, (res.WallTime/base.WallTime-1)*100, avg <= capW*1.02)
 	}
-	fmt.Println("\nThe controller sheds the cheapest watts first (the same marginal-utility")
-	fmt.Println("walk CoScale uses), so harsh caps cost far less performance than naive")
-	fmt.Println("uniform frequency reduction would.")
+	fmt.Println("\nThe controller sheds the cheapest watts first (the CoScale walk itself,")
+	fmt.Println("stopped at the first point under the cap), so harsh caps cost far less")
+	fmt.Println("performance than naive uniform frequency reduction would.")
 }

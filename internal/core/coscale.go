@@ -18,6 +18,11 @@
 // is recomputed only when the memory frequency changed, and core marginals
 // only for cores whose frequency changed, giving the paper's
 // O(M + C·N²) complexity instead of the brute-force M·C^N.
+//
+// The descent is the package's only greedy walk. Its stop rule selects the
+// goal: minimum SER within the slowdown bound (CoScale), the first point
+// under a power cap (PowerCap, powercap.go), or every accepted point with
+// the limits lifted (FrontierWalk, the FastCap frontier).
 package core
 
 import (
@@ -149,8 +154,33 @@ type CoScale struct {
 	prevMemLat  float64
 	prevValid   bool // a previous signature exists (false after Reset)
 
+	// The walk's stop rule (descend): which point the descent returns.
+	goal    goal
+	capW    float64 // goalCap: full-system power budget in watts
+	minW    float64 // goalCap: lowest power among the points accepted
+	bestMem int     // memory step of the point in best
+	bestSER float64 // goalMinSER: SER of the point in best
+	walk    walkLog // goalFrontier: every point the walk accepted
+
 	stats SearchStats // work counters for the last Decide's search
 }
+
+// goal selects the stop rule of the one greedy descent. The walk itself —
+// marginals, group moves, the joint-model backstop — is the same for every
+// goal; only which accepted point it returns, and when it stops, differ.
+type goal uint8
+
+const (
+	// goalMinSER is CoScale (Figure 2 lines 20-22): walk until no move
+	// fits the slowdown bound and return the minimum-SER point reached.
+	goalMinSER goal = iota
+	// goalCap is PowerCap (§2.3): return the first accepted point whose
+	// predicted full-system power is at or under capW.
+	goalCap
+	// goalFrontier is the FastCap frontier: record every accepted point
+	// (limits lifted, so the walk runs from all-max to the all-min floor).
+	goalFrontier
+)
 
 // New returns a CoScale controller for the given system, or the
 // configuration's validation error.
@@ -215,7 +245,8 @@ func (c *CoScale) Slack() *policy.SlackBook { return c.slack }
 // pattern; benchmarks use it to rewind between iterations).
 func (c *CoScale) Reset() {
 	c.slack.Reset()
-	c.last.CoreSteps = perf.ResizeInts(c.last.CoreSteps, c.cfg.NCores)
+	c.last.CoreSteps = perf.Grow(c.last.CoreSteps, c.cfg.NCores)
+	clear(c.last.CoreSteps)
 	c.last.MemStep = 0
 	c.resetWarm()
 }
@@ -229,7 +260,7 @@ func (c *CoScale) threadsFor(obs policy.Observation) []int {
 	if obs.ThreadIDs != nil {
 		return obs.ThreadIDs
 	}
-	c.identity = perf.ResizeInts(c.identity, len(obs.Cores))
+	c.identity = perf.Grow(c.identity, len(obs.Cores))
 	for i := range c.identity {
 		c.identity[i] = i
 	}
@@ -245,7 +276,7 @@ func (c *CoScale) threadsFor(obs policy.Observation) []int {
 func (c *CoScale) Observe(epoch policy.Observation) {
 	c.obsEv.Reset(c.cfg, epoch)
 	base := c.obsEv.BaselineTPI()
-	c.tmax = perf.ResizeFloats(c.tmax, len(epoch.Cores))
+	c.tmax = perf.Grow(c.tmax, len(epoch.Cores))
 	for i := range epoch.Cores {
 		c.tmax[i] = float64(epoch.Cores[i].Instructions) * base[i]
 	}
@@ -268,9 +299,9 @@ func (c *CoScale) Decide(obs policy.Observation) policy.Decision {
 		d = c.decideWarm(obs)
 	} else {
 		c.stats.ColdSearches = 1
-		d = c.search(c.ev)
+		d, _ = c.search(c.ev)
 	}
-	c.last.CoreSteps = perf.ResizeInts(c.last.CoreSteps, len(d.CoreSteps))
+	c.last.CoreSteps = perf.Grow(c.last.CoreSteps, len(d.CoreSteps))
 	copy(c.last.CoreSteps, d.CoreSteps)
 	c.last.MemStep = d.MemStep
 	return d
@@ -312,12 +343,14 @@ type coreMarg struct {
 }
 
 // search is the cold path: the full Figure 2 walk from the all-max point.
+// The bool is descend's: whether the walk's goal stopped it.
 //
 //hot:path
-func (c *CoScale) search(ev *policy.Evaluator) policy.Decision {
+func (c *CoScale) search(ev *policy.Evaluator) (policy.Decision, bool) {
 	n := c.cfg.NCores
 	st := &c.st
-	st.steps = perf.ResizeInts(st.steps, n)
+	st.steps = perf.Grow(st.steps, n)
+	clear(st.steps)
 	st.memStep = 0
 	st.memValid, st.coreValid = false, false
 	// The walk starts at the all-max point the evaluator already solved for
@@ -328,15 +361,21 @@ func (c *CoScale) search(ev *policy.Evaluator) policy.Decision {
 
 // descend runs the greedy walk from wherever st stands — the all-max point
 // for the cold search, the re-validated previous solution for a warm start —
-// and returns the minimum-SER configuration it reaches.
+// and returns the configuration its goal selects (see stop). The bool
+// reports whether the goal stopped the walk; false means the walk ran until
+// no move fit the limits, which only matters to goalCap (the cap was not
+// reached).
 //
 //hot:path
-func (c *CoScale) descend(ev *policy.Evaluator, st *searchState) policy.Decision {
+func (c *CoScale) descend(ev *policy.Evaluator, st *searchState) (policy.Decision, bool) {
 	n := c.cfg.NCores
-	c.best = perf.ResizeInts(c.best, n)
+	c.best = perf.Grow(c.best, n)
 	copy(c.best, st.steps)
-	bestMem := st.memStep
-	bestSER := st.cur.SER
+	c.bestMem = st.memStep
+	c.bestSER = st.cur.SER
+	if c.stop(st) {
+		return policy.Decision{CoreSteps: c.best, MemStep: c.bestMem}, true
+	}
 
 	maxIters := (c.cfg.MemLadder.Steps() + c.cfg.CoreLadder.Steps()*n) + 4
 	for iter := 0; iter < maxIters; iter++ {
@@ -382,15 +421,40 @@ func (c *CoScale) descend(ev *policy.Evaluator, st *searchState) policy.Decision
 		if !policy.WithinBoundScaled(st.cur, c.scaled) {
 			break
 		}
-		// Line 20: record SER for the configuration just reached.
-		if st.cur.SER < bestSER {
-			bestSER = st.cur.SER
-			copy(c.best, st.steps)
-			bestMem = st.memStep
+		if c.stop(st) {
+			return policy.Decision{CoreSteps: c.best, MemStep: c.bestMem}, true
 		}
 	}
-	// Line 21-22: the combination with the smallest SER wins.
-	return policy.Decision{CoreSteps: c.best, MemStep: bestMem}
+	// Lines 21-22: the combination with the smallest SER wins.
+	return policy.Decision{CoreSteps: c.best, MemStep: c.bestMem}, false
+}
+
+// stop is the walk's stop rule: it applies the controller's goal to the
+// point the walk has just accepted (st.cur, inside the limits) and reports
+// whether the walk ends there.
+//
+//hot:path
+func (c *CoScale) stop(st *searchState) bool {
+	switch c.goal {
+	case goalCap:
+		c.minW = min(c.minW, st.cur.Power.Total)
+		if st.cur.Power.Total > c.capW {
+			return false
+		}
+		copy(c.best, st.steps)
+		c.bestMem = st.memStep
+		return true
+	case goalFrontier:
+		c.walk.record(st)
+		return false
+	}
+	// Line 20: record SER for the configuration just reached.
+	if st.cur.SER < c.bestSER {
+		c.bestSER = st.cur.SER
+		copy(c.best, st.steps)
+		c.bestMem = st.memStep
+	}
+	return false
 }
 
 // memoryMarginal evaluates one memory step down from the current state

@@ -191,7 +191,7 @@ func (c *CoScale) Close() {
 //hot:path
 func (c *CoScale) runScan(ev *policy.Evaluator, st *searchState, mode, items int) {
 	c.setupScan(ev, st, mode, items)
-	c.scanOut = growMargs(c.scanOut, items)
+	c.scanOut = perf.Grow(c.scanOut, items)
 	p := c.pool
 	min := c.minParallel
 	if min <= 0 {
@@ -214,7 +214,7 @@ func (c *CoScale) runScan(ev *policy.Evaluator, st *searchState, mode, items int
 		lanes = items
 	}
 	c.sc.lanes = lanes
-	c.scanEvals = growInts(c.scanEvals, lanes)
+	c.scanEvals = perf.Grow(c.scanEvals, lanes)
 	p.scatter(c, lanes)
 	total := 0
 	for _, e := range c.scanEvals[:lanes] {
@@ -287,20 +287,4 @@ func (c *CoScale) scanRange(lo, hi int) int {
 		}
 	}
 	return evals
-}
-
-// growMargs and growInts are perf.GrowFloats for the scan scratch: resize
-// without zeroing (every slot is written before it is read).
-func growMargs(s []coreMarg, n int) []coreMarg {
-	if cap(s) < n {
-		return make([]coreMarg, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	return s[:n]
 }

@@ -32,7 +32,7 @@ func TestPowerCapMeetsBudget(t *testing.T) {
 		cap := full * frac
 		d := must(NewPowerCap(cfg, cap)).Decide(obs)
 		e := ev.Evaluate(d.CoreSteps, d.MemStep)
-		if e.Power.Total > cap*1.001 {
+		if e.Power.Total > cap {
 			t.Errorf("cap %.0f W (%.0f%%): predicted power %.0f W over budget", cap, frac*100, e.Power.Total)
 		}
 	}

@@ -138,7 +138,8 @@ func (c *CoScale) decideWarm(obs policy.Observation) policy.Decision {
 		c.stats.WarmFallbacks = 1
 	}
 	c.stats.ColdSearches = 1
-	return c.search(c.ev)
+	d, _ := c.search(c.ev)
+	return d
 }
 
 // phaseStable classifies the new epoch against the previous Decide's
@@ -175,8 +176,8 @@ func (c *CoScale) phaseStable(obs policy.Observation) bool {
 //hot:path
 func (c *CoScale) snapshotPhase(obs policy.Observation) {
 	n := len(obs.Cores)
-	c.prevCPI = perf.GrowFloats(c.prevCPI, n)
-	c.prevMPI = perf.GrowFloats(c.prevMPI, n)
+	c.prevCPI = perf.Grow(c.prevCPI, n)
+	c.prevMPI = perf.Grow(c.prevMPI, n)
 	for i := range obs.Cores {
 		co := &obs.Cores[i]
 		c.prevCPI[i] = co.Stats.CPIBase
@@ -220,7 +221,7 @@ func (c *CoScale) searchWarm(ev *policy.Evaluator) (policy.Decision, bool) {
 		return policy.Decision{}, false
 	}
 	st := &c.st
-	st.steps = perf.ResizeInts(st.steps, n)
+	st.steps = perf.Grow(st.steps, n)
 	copy(st.steps, c.last.CoreSteps)
 	st.memStep = c.last.MemStep
 	c.stats.Evals++
@@ -229,7 +230,8 @@ func (c *CoScale) searchWarm(ev *policy.Evaluator) (policy.Decision, bool) {
 		return policy.Decision{}, false
 	}
 	st.memValid, st.coreValid = false, false
-	return c.descend(ev, st), true
+	d, _ := c.descend(ev, st)
+	return d, true
 }
 
 // warmReuse is the scan kernel's cross-epoch memoization: if the (core,

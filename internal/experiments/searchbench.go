@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"coscale/internal/fastcap"
 	"coscale/internal/freq"
 	"coscale/internal/memsys"
 	"coscale/internal/perf"
@@ -53,4 +54,17 @@ func SearchBenchObsSeed(n int, seed uint64) (policy.Config, policy.Observation) 
 		}
 	}
 	return cfg, obs
+}
+
+// SearchBenchCap is the power budget behind the capping benchmarks
+// (BenchmarkPowerCap16/64/256Cores and cmd/coscale-bench): the midpoint of
+// the watts spanned by the node's frontier under SearchBenchObs, so the
+// capped walk stops halfway between the all-max point and the floor.
+func SearchBenchCap(cfg policy.Config, obs policy.Observation) (float64, error) {
+	var b fastcap.Builder
+	var f fastcap.Frontier
+	if err := b.Build(&f, cfg, obs); err != nil {
+		return 0, err
+	}
+	return (f.Watts[0] + f.Watts[f.Len()-1]) / 2, nil
 }

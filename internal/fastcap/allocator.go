@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"coscale/internal/perf"
 )
 
 // Strategy selects how the Allocator splits the global budget.
@@ -96,7 +98,7 @@ func (a *Allocator) Allocate(budget float64, nodes []Node, out []Assignment) ([]
 	}
 
 	n := len(nodes)
-	a.order = resizeInts(a.order, n)
+	a.order = perf.Grow(a.order, n)
 	for i := range a.order {
 		a.order[i] = i
 	}
@@ -112,7 +114,7 @@ func (a *Allocator) Allocate(budget float64, nodes []Node, out []Assignment) ([]
 		}
 	}
 
-	a.cur = resizeInts(a.cur, n)
+	a.cur = perf.Grow(a.cur, n)
 	for i := range a.cur {
 		a.cur[i] = 0
 	}

@@ -147,10 +147,10 @@ func (r *Rebalancer) Epoch(budget float64, obs []policy.Observation, out []NodeE
 		asg := r.assigns[i]
 		clamped := err != nil // global infeasibility clamps everyone
 
-		// Drive the node's controller against its slice. The frontier's
-		// floor watts and PowerCap's own min-eval are bit-identical (both
-		// run the memoized table path), so an assignment at the floor is
-		// feasible at the boundary rather than spuriously infeasible.
+		// Drive the node's controller against its slice. PowerCap's
+		// unbounded walk is the walk the frontier recorded (both on the
+		// memoized table path), so an assignment at the frontier's floor
+		// is feasible at the boundary rather than spuriously infeasible.
 		if serr := n.cap.SetCap(asg.Watts); serr != nil {
 			return out, fmt.Errorf("fastcap: node %q: %w", n.id, serr)
 		}

@@ -235,7 +235,7 @@ func (r *Reach) Contains(f *FuncInfo) bool {
 func (r *Reach) Order() []*FuncInfo { return r.order }
 
 // Chain renders the shortest discovered call chain from a root to f, e.g.
-// "sim.(*Engine).advance → perf.(*Solver).SolveTable → perf.GrowFloats".
+// "sim.(*Engine).advance → perf.(*Solver).SolveTable → perf.Grow".
 // Interface-dispatch hops name the interface method they pass through.
 func (r *Reach) Chain(f *FuncInfo) string {
 	var parts []string

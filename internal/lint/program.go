@@ -19,7 +19,7 @@ type FuncInfo struct {
 }
 
 // Name renders the function as it appears in diagnostics: package-qualified
-// with its receiver, e.g. "perf.GrowFloats" or "sim.(*Engine).advance".
+// with its receiver, e.g. "perf.Grow" or "sim.(*Engine).advance".
 func (f *FuncInfo) Name() string { return funcDisplayName(f.Obj) }
 
 // funcDisplayName renders fn as pkg.Func, pkg.T.Method or pkg.(*T).Method.

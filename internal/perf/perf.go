@@ -130,10 +130,10 @@ func (sv *Solver) SolveInto(res *Result, cores []CoreStats, coreHz []float64, bu
 	// per-iteration arithmetic — fixed + (Beta*latency)/mlp — performs the
 	// same operations on the same values as CoreStats.TPI, so the fixed
 	// point reached is bit-identical.
-	sv.fixed = GrowFloats(sv.fixed, n)
-	sv.beta = GrowFloats(sv.beta, n)
-	sv.mlpn = GrowFloats(sv.mlpn, n)
-	sv.mpi = GrowFloats(sv.mpi, n)
+	sv.fixed = Grow(sv.fixed, n)
+	sv.beta = Grow(sv.beta, n)
+	sv.mlpn = Grow(sv.mlpn, n)
+	sv.mpi = Grow(sv.mpi, n)
 	allMLP1 := true
 	for i, c := range cores {
 		sv.beta[i] = c.Beta
@@ -191,8 +191,8 @@ func (sv *Solver) iterate(res *Result, model memsys.LoadModel, fixed, beta, mlpn
 		maxIter = 60
 	}
 	n := len(fixed)
-	res.TPI = GrowFloats(res.TPI, n)
-	res.IPS = GrowFloats(res.IPS, n)
+	res.TPI = Grow(res.TPI, n)
+	res.IPS = Grow(res.IPS, n)
 	tpis := res.TPI[:n]
 	ips := res.IPS[:n]
 	beta = beta[:n]
@@ -318,41 +318,24 @@ func (sv *Solver) iterate(res *Result, model memsys.LoadModel, fixed, beta, mlpn
 	res.Iterations = iter + 1
 }
 
-// ResizeFloats returns s resized to length n, reusing its backing array when
-// the capacity suffices (elements are zeroed) and allocating otherwise. It
-// is the shared growth helper behind the hot paths' scratch buffers.
-func ResizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// GrowFloats returns s resized to length n, reusing its backing array when
-// the capacity suffices and allocating otherwise — like ResizeFloats but
-// WITHOUT zeroing. For buffers every element of which is written before it
-// is read (the solver's working arrays), the clear is pure overhead.
-func GrowFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
+// Grow returns s at length n, reusing its backing array when the capacity
+// suffices. It is the one grow-only helper behind every hot path's scratch
+// buffers: the contents are unspecified (stale values from earlier use, or
+// zero values in newly grown capacity), so callers either overwrite every
+// element before reading it or clear the result. A capacity miss appends
+// zero values a chunk at a time, which runs only until the scratch is warm:
+// the first append allocates exactly n elements when the growth fits one
+// chunk (per-core scratch on the paper's platforms), and larger growth is
+// geometric.
+func Grow[T any](s []T, n int) []T {
+	if n > cap(s) {
+		var zeros [32]T
+		s = s[:cap(s)]
+		for len(s) < n {
+			s = append(s, zeros[:min(len(zeros), n-len(s))]...) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
+		}
 	}
 	return s[:n]
-}
-
-// ResizeInts is ResizeFloats for int slices.
-func ResizeInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 // StepTable memoizes, per candidate core-frequency step, every core's
@@ -410,10 +393,10 @@ func (t *StepTable) Reset(stats []CoreStats, stepHz []float64) {
 	for s := range t.built {
 		t.built[s] = false
 	}
-	t.beta = GrowFloats(t.beta, n)
-	t.mlpn = GrowFloats(t.mlpn, n)
-	t.mpi = GrowFloats(t.mpi, n)
-	t.fixed = GrowFloats(t.fixed, n)
+	t.beta = Grow(t.beta, n)
+	t.mlpn = Grow(t.mlpn, n)
+	t.mpi = Grow(t.mpi, n)
+	t.fixed = Grow(t.fixed, n)
 	if cap(t.cur) < n {
 		t.cur = make([]int, n) //hot:alloc-ok capacity miss: runs once until the caller's scratch is warm
 	}

@@ -283,7 +283,7 @@ func (h *Hardened) failsafe(n int) Decision {
 // remember records the decision's settings (clamped as the engine will clamp
 // them) so the next observation's settings can be echo-checked against it.
 func (h *Hardened) remember(d Decision) Decision {
-	h.lastReq = perf.ResizeInts(h.lastReq, len(d.CoreSteps))
+	h.lastReq = perf.Grow(h.lastReq, len(d.CoreSteps))
 	for i, s := range d.CoreSteps {
 		h.lastReq[i] = h.cfg.CoreLadder.Clamp(s)
 	}

@@ -61,10 +61,7 @@ func (c Config) Limits(slack []float64) []float64 {
 //
 //hot:path
 func (c Config) LimitsInto(dst, slack []float64) []float64 {
-	if cap(dst) < len(slack) {
-		dst = make([]float64, len(slack)) //hot:alloc-ok capacity miss: runs once until the caller's scratch is warm
-	}
-	dst = dst[:len(slack)]
+	dst = perf.Grow(dst, len(slack))
 	for i, s := range slack {
 		dst[i] = s - c.Reserve
 	}
@@ -260,7 +257,7 @@ func (ev *Evaluator) Reset(cfg Config, obs Observation) {
 	ev.Solver.MaxIter = 25
 	ev.obs = obs
 	n := len(obs.Cores)
-	ev.stats = resizeStats(ev.stats, n)
+	ev.stats = perf.Grow(ev.stats, n)
 	for i := range obs.Cores {
 		ev.stats[i] = obs.Cores[i].Stats
 	}
@@ -268,7 +265,8 @@ func (ev *Evaluator) Reset(cfg Config, obs Observation) {
 	if obs.MemRate > 0 {
 		ev.busyPerReq = obs.BusyFrac / obs.MemRate
 	}
-	ev.maxSteps = perf.ResizeInts(ev.maxSteps, n)
+	ev.maxSteps = perf.Grow(ev.maxSteps, n)
+	clear(ev.maxSteps)
 	if ev.UseTables {
 		ev.resetTables()
 	}
@@ -288,8 +286,8 @@ func (ev *Evaluator) Reset(cfg Config, obs Observation) {
 //hot:path
 func (ev *Evaluator) resetTables() {
 	n := len(ev.obs.Cores)
-	ev.mixes = resizeMixes(ev.mixes, n)
-	ev.l2pi = perf.GrowFloats(ev.l2pi, n)
+	ev.mixes = perf.Grow(ev.mixes, n)
+	ev.l2pi = perf.Grow(ev.l2pi, n)
 	for i := range ev.obs.Cores {
 		ev.mixes[i] = ev.obs.Cores[i].Mix
 		ev.l2pi[i] = ev.obs.Cores[i].L2PerInstr
@@ -357,9 +355,9 @@ func (ev *Evaluator) Evaluate(coreSteps []int, memStep int) Eval {
 //hot:path
 func (ev *Evaluator) EvaluateBaselineInto(dst *Eval) {
 	n := len(ev.baseline.TPI)
-	dst.TPI = perf.ResizeFloats(dst.TPI, n)
+	dst.TPI = perf.Grow(dst.TPI, n)
 	copy(dst.TPI, ev.baseline.TPI)
-	dst.Slowdown = perf.ResizeFloats(dst.Slowdown, n)
+	dst.Slowdown = perf.Grow(dst.Slowdown, n)
 	for i := range dst.Slowdown {
 		dst.Slowdown[i] = 1
 	}
@@ -412,7 +410,7 @@ func (e *Eval) memRate(stats []perf.CoreStats) float64 {
 //
 //hot:path
 func (ev *Evaluator) coreHz(coreSteps []int) []float64 {
-	ev.hz = perf.ResizeFloats(ev.hz, len(coreSteps))
+	ev.hz = perf.Grow(ev.hz, len(coreSteps))
 	for i, s := range coreSteps {
 		ev.hz[i] = ev.Cfg.CoreLadder.Hz(s)
 	}
@@ -433,9 +431,9 @@ func (ev *Evaluator) evaluateInto(dst *Eval, coreSteps []int, memStep int) {
 	busHz := ev.Cfg.MemLadder.Hz(memStep)
 	ev.Solver.SolveInto(&ev.solveRes, ev.stats, hz, busHz)
 	n := len(ev.solveRes.TPI)
-	dst.TPI = perf.ResizeFloats(dst.TPI, n)
+	dst.TPI = perf.Grow(dst.TPI, n)
 	copy(dst.TPI, ev.solveRes.TPI)
-	dst.Slowdown = perf.ResizeFloats(dst.Slowdown, n)
+	dst.Slowdown = perf.Grow(dst.Slowdown, n)
 	dst.MaxSlow = 0
 	dst.SER = 0
 	dst.MemLoad = ev.solveRes.Mem
@@ -453,9 +451,9 @@ func (ev *Evaluator) evaluateInto(dst *Eval, coreSteps []int, memStep int) {
 func (ev *Evaluator) evaluateTablesInto(dst *Eval, coreSteps []int, memStep int) {
 	ev.Solver.SolveTable(&ev.solveRes, &ev.tbl, coreSteps, ev.plat.Models.At(memStep))
 	n := len(ev.solveRes.TPI)
-	dst.TPI = perf.GrowFloats(dst.TPI, n)
+	dst.TPI = perf.Grow(dst.TPI, n)
 	copy(dst.TPI, ev.solveRes.TPI)
-	dst.Slowdown = perf.GrowFloats(dst.Slowdown, n)
+	dst.Slowdown = perf.Grow(dst.Slowdown, n)
 	dst.MaxSlow = 0
 	dst.SER = 0
 	dst.MemLoad = ev.solveRes.Mem
@@ -533,10 +531,7 @@ func (ev *Evaluator) Tables() (*perf.StepTable, *power.CoreTable) {
 //hot:path
 func (ev *Evaluator) TMaxInto(dst []float64, coreSteps []int, memStep int) []float64 {
 	ev.EvaluateInto(&ev.tmaxEval, coreSteps, memStep)
-	if cap(dst) < len(ev.obs.Cores) {
-		dst = make([]float64, len(ev.obs.Cores)) //hot:alloc-ok capacity miss: runs once until the caller's scratch is warm
-	}
-	dst = dst[:len(ev.obs.Cores)]
+	dst = perf.Grow(dst, len(ev.obs.Cores))
 	for i, c := range ev.obs.Cores {
 		dst[i] = float64(c.Instructions) * ev.tmaxEval.TPI[i]
 	}
@@ -564,7 +559,7 @@ func (ev *Evaluator) finish(e *Eval, coreSteps []int, hz []float64, memStep int,
 		e.MaxSlow = 1
 	}
 
-	cores := resizeCoreOps(ev.cores, len(e.TPI))
+	cores := perf.Grow(ev.cores, len(e.TPI))
 	ev.cores = cores
 	l2Rate := 0.0
 	for i, tpi := range e.TPI {
@@ -613,10 +608,7 @@ func MaxSlowdowns(slacks []float64, epoch, gamma float64) []float64 {
 //
 //hot:path
 func MaxSlowdownsInto(dst, slacks []float64, epoch, gamma float64) []float64 {
-	if cap(dst) < len(slacks) {
-		dst = make([]float64, len(slacks)) //hot:alloc-ok capacity miss: runs once until the caller's scratch is warm
-	}
-	dst = dst[:len(slacks)]
+	dst = perf.Grow(dst, len(slacks))
 	for i, s := range slacks {
 		if s >= epoch {
 			dst[i] = math.Inf(1)
@@ -629,29 +621,6 @@ func MaxSlowdownsInto(dst, slacks []float64, epoch, gamma float64) []float64 {
 		dst[i] = r
 	}
 	return dst
-}
-
-// resizeStats and resizeCoreOps reuse scratch backing arrays without
-// zeroing: every element is fully overwritten before it is read.
-func resizeStats(s []perf.CoreStats, n int) []perf.CoreStats {
-	if cap(s) < n {
-		return make([]perf.CoreStats, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	return s[:n]
-}
-
-func resizeCoreOps(s []power.CoreOp, n int) []power.CoreOp {
-	if cap(s) < n {
-		return make([]power.CoreOp, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	return s[:n]
-}
-
-func resizeMixes(s []trace.InstrMix, n int) []trace.InstrMix {
-	if cap(s) < n {
-		return make([]trace.InstrMix, n) //hot:alloc-ok capacity miss: grow-only scratch, amortized to zero in steady state
-	}
-	return s[:n]
 }
 
 // WithinBoundScaled is WithinBound against limits whose (1+1e-12) epsilon
@@ -675,10 +644,7 @@ func WithinBoundScaled(e Eval, scaled []float64) bool {
 //
 //hot:path
 func ScaleLimits(dst, limits []float64) []float64 {
-	if cap(dst) < len(limits) {
-		dst = make([]float64, len(limits)) //hot:alloc-ok capacity miss: runs once until the caller's scratch is warm
-	}
-	dst = dst[:len(limits)]
+	dst = perf.Grow(dst, len(limits))
 	for i, l := range limits {
 		dst[i] = l * (1 + 1e-12)
 	}

@@ -61,10 +61,7 @@ func (b *SlackBook) AvailableFor(threads []int) []float64 {
 //
 //hot:path
 func (b *SlackBook) AvailableInto(dst []float64, threads []int) []float64 {
-	if cap(dst) < len(threads) {
-		dst = make([]float64, len(threads)) //hot:alloc-ok capacity miss: runs once until the caller's scratch is warm
-	}
-	dst = dst[:len(threads)]
+	dst = perf.Grow(dst, len(threads))
 	for i, id := range threads {
 		dst[i] = b.Thread(id).Available()
 	}
