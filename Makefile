@@ -24,13 +24,13 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 ## bench-smoke: the hot-path regression gate — alloc-budget tests, one
-## iteration of the headline search/epoch benchmarks, and a short
-## coscale-bench diff against the committed baseline (mirrors CI's
-## bench-smoke)
+## iteration of the headline search/epoch and comparison-policy benchmarks,
+## and a short coscale-bench diff against the committed baseline (mirrors
+## CI's bench-smoke)
 bench-smoke:
 	$(GO) test -run 'ZeroAlloc|DeterministicUnderReuse|GoldenBitIdentical' -count=1 . ./internal/sim
 	GOMAXPROCS=1 $(GO) test -run 'ZeroAlloc|DeterministicUnderReuse|GoldenBitIdentical' -count=1 . ./internal/sim
-	$(GO) test -bench 'BenchmarkSearch16Cores|BenchmarkEpochSimulation' -benchtime=1x -benchmem -run='^$$' .
+	$(GO) test -bench 'BenchmarkSearch16Cores|BenchmarkEpochSimulation|BenchmarkOfflineDecide16Cores|BenchmarkCPUOnlyDecide16Cores' -benchtime=1x -benchmem -run='^$$' .
 	$(MAKE) bench-compare
 
 ## bit-identity: the parallel-vs-serial determinism gate behind DESIGN.md §11

@@ -65,6 +65,36 @@ func TestPowerCapZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestComparisonPoliciesZeroAllocSteadyState extends the gate to the five
+// comparison policies of §3.2: each owns a table evaluator and its sweep
+// scratch, so once warm neither Decide nor Observe may allocate.
+func TestComparisonPoliciesZeroAllocSteadyState(t *testing.T) {
+	for _, n := range []int{16, 64} {
+		cfg, obs := experiments.SearchBenchObs(n)
+		obs.Window = cfg.EpochLen.Seconds()
+		oop := must(policy.NewSemiCoordinated(cfg))
+		oop.OutOfPhase = true
+		for _, p := range []policy.Policy{
+			must(policy.NewMemScale(cfg)),
+			must(policy.NewCPUOnly(cfg)),
+			must(policy.NewUncoordinated(cfg)),
+			must(policy.NewSemiCoordinated(cfg)),
+			oop,
+			must(policy.NewOffline(cfg)),
+		} {
+			epoch := func() {
+				p.Decide(obs)
+				p.Observe(obs)
+			}
+			epoch()
+			epoch() // the out-of-phase variant alternates managers
+			if avg := testing.AllocsPerRun(50, epoch); avg != 0 {
+				t.Errorf("%d cores: %s Decide+Observe allocates %.1f times per epoch in steady state, want 0", n, p.Name(), avg)
+			}
+		}
+	}
+}
+
 // capFleet is the fleet-cap shape of the capping gates: one 16-core and
 // one 32-core node sharing a platform-table cache, so a single Builder or
 // Rebalancer alternates between core counts on every round.

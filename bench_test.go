@@ -314,6 +314,29 @@ func BenchmarkSearch256Cores(b *testing.B)  { benchSearch(b, 256) }
 func BenchmarkSearch512Cores(b *testing.B)  { benchSearch(b, 512) }
 func BenchmarkSearch1024Cores(b *testing.B) { benchSearch(b, 1024) }
 
+// benchComparisonDecide measures one warm Decide of a comparison policy
+// over the search benchmark's observation: CPUOnly runs the fixed-latency
+// core sweep once, Offline twice per memory step plus its joint
+// verifications (DESIGN.md §4).
+func benchComparisonDecide(b *testing.B, p policy.Policy, obs policy.Observation) {
+	p.Decide(obs) // warm: sizes the evaluator and sweep scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Decide(obs)
+	}
+}
+
+func BenchmarkOfflineDecide16Cores(b *testing.B) {
+	cfg, obs := searchBenchObs(16)
+	benchComparisonDecide(b, must(policy.NewOffline(cfg)), obs)
+}
+
+func BenchmarkCPUOnlyDecide16Cores(b *testing.B) {
+	cfg, obs := searchBenchObs(16)
+	benchComparisonDecide(b, must(policy.NewCPUOnly(cfg)), obs)
+}
+
 // benchSearchWarm measures the warm-hit decision path (DESIGN.md §14): the
 // controller is primed with one cold decision on the same observation, so
 // every timed Decide classifies the epoch as stable, seeds from the previous

@@ -1,7 +1,8 @@
 // Command coscale-bench runs the headline performance benchmarks — the §3.1
 // search cost at 16-1024 cores (serial and sharded across -parallelism
 // worker lanes), power-capping decisions and FastCap frontier builds at
-// 16-256 cores, batched DecideAll over the shared platform-table cache,
+// 16-256 cores, Offline and CPUOnly decisions at 16 cores, batched
+// DecideAll over the shared platform-table cache,
 // and the raw epoch-simulation throughput — plus a timed figure
 // regeneration, and writes the numbers as machine-readable JSON. The committed BENCH_baseline.json at the repository root is this
 // program's output; regenerate it with `make bench-json`.
@@ -50,6 +51,8 @@ import (
 type Report struct {
 	GoVersion  string      `json:"go_version"`
 	GOARCH     string      `json:"goarch"`
+	NumCPU     int         `json:"num_cpu"`
+	GOMAXPROCS int         `json:"gomaxprocs"`
 	Benchtime  string      `json:"benchtime"`
 	Benchmarks []BenchRow  `json:"benchmarks"`
 	Figures    []FigureRow `json:"figures"`
@@ -117,9 +120,11 @@ func main() {
 	}
 
 	rep := Report{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		Benchtime: benchtime.String(),
+		GoVersion:  runtime.Version(),
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Benchtime:  benchtime.String(),
 	}
 
 	for _, n := range []int{16, 64, 128, 256, 512, 1024} {
@@ -235,6 +240,32 @@ func main() {
 				if err := fb.Build(&f, cfg, obs); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}))
+	}
+
+	// The comparison policies of §3.2 on the same 16-core observation:
+	// CPUOnly runs the fixed-latency core sweep once per decision, Offline
+	// twice per memory step plus a joint verification of each winner.
+	cfg16, obs16 := experiments.SearchBenchObs(16)
+	offline, err := policy.NewOffline(cfg16)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cpuOnly, err := policy.NewCPUOnly(cfg16)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, pc := range []struct {
+		name string
+		p    policy.Policy
+	}{{"OfflineDecide16Cores", offline}, {"CPUOnlyDecide16Cores", cpuOnly}} {
+		pc.p.Decide(obs16) // warm: sizes the evaluator and sweep scratch
+		rep.Benchmarks = append(rep.Benchmarks, bench(pc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pc.p.Decide(obs16)
 			}
 		}))
 	}

@@ -1,23 +1,21 @@
 package policy
 
-import (
-	"math"
-	"sort"
-)
+import "coscale/internal/perf"
 
 // Offline is the idealized upper bound of §3.2 (alternative 5): it is fed a
 // perfect trace of each upcoming epoch (the engine passes oracle
 // observations instead of profiling-window ones) and searches all core and
 // memory frequency settings. The nominally exponential M·C^N space is
 // searched exactly by exploiting the model's per-core separability: for
-// each memory frequency, sweeping the worst-allowed slowdown over every
-// per-core step boundary enumerates every Pareto-relevant combination (see
-// DESIGN.md §4); a short fixed-point on the shared memory latency accounts
-// for the traffic coupling. Offline remains epoch-by-epoch greedy, so it is
-// an upper bound for CoScale, not a true oracle.
+// each memory frequency, the fixed-latency core sweep (coreSearch) over
+// every per-core step boundary enumerates every Pareto-relevant combination
+// (see DESIGN.md §4); a short fixed-point on the shared memory latency
+// accounts for the traffic coupling. Offline remains epoch-by-epoch greedy,
+// so it is an upper bound for CoScale, not a true oracle.
 type Offline struct {
-	cfg   Config
-	slack *SlackBook
+	managed
+	cand    []int // the sweep's steps for the current round
+	memBest []int // best verified steps for the current memory step
 }
 
 // NewOffline returns the Offline policy, or the configuration's validation
@@ -26,7 +24,7 @@ func NewOffline(cfg Config) (*Offline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Offline{cfg: cfg, slack: NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve)}, nil
+	return &Offline{managed: newManaged(cfg)}, nil
 }
 
 // Name implements Policy.
@@ -36,104 +34,64 @@ func (p *Offline) Name() string { return "Offline" }
 func (p *Offline) WantsOracle() bool { return true }
 
 // Decide implements Policy. obs must be an oracle observation of the
-// upcoming epoch.
+// upcoming epoch. The decision's CoreSteps alias the policy's scratch until
+// the next Decide.
+//
+//hot:path
 func (p *Offline) Decide(obs Observation) Decision {
-	ev := NewEvaluator(p.cfg, obs)
-	limits := p.cfg.Limits(p.slack.AvailableFor(obs.CoreThreads()))
-	base := ev.Baseline()
-
-	best := Decision{CoreSteps: ZeroSteps(p.cfg.NCores), MemStep: 0}
-	bestSER := base.SER
-
+	limits := p.reset(obs)
+	p.steps = perf.Grow(p.steps, p.cfg.NCores)
+	clear(p.steps)
+	bestMem, bestSER := 0, p.ev.baseline.SER
 	for m := 0; m < p.cfg.MemLadder.Steps(); m++ {
-		steps, e, ok := p.bestForMem(ev, m, limits)
-		if !ok {
-			continue
-		}
-		if e.SER < bestSER {
-			bestSER = e.SER
-			best = Decision{CoreSteps: steps, MemStep: m}
+		ser, ok := p.bestForMem(m, limits)
+		if ok && ser < bestSER {
+			bestMem, bestSER = m, ser
+			copy(p.steps, p.memBest)
 		}
 	}
-	return best
+	return Decision{CoreSteps: p.steps, MemStep: bestMem}
+}
+
+// Observe implements Policy: end-of-epoch slack accounting against the
+// all-max reference.
+//
+//hot:path
+func (p *Offline) Observe(epoch Observation) {
+	p.slack.RecordEpochFor(p.threadsFor(epoch), p.tmaxFor(epoch), epoch.Window)
 }
 
 // bestForMem finds the best core assignment for one memory step, iterating
 // the shared-latency fixed point twice and verifying the winner with the
-// full joint model.
-func (p *Offline) bestForMem(ev *Evaluator, m int, limits []float64) ([]int, Eval, bool) {
-	base := ev.Baseline().TPI
-	latency := ev.Evaluate(ZeroSteps(p.cfg.NCores), m).MemLoad.Latency
+// full joint model. The steps are left in p.memBest; the result is their
+// SER and whether any round verified.
+//
+//hot:path
+func (p *Offline) bestForMem(m int, limits []float64) (float64, bool) {
+	ev := p.ev
+	ev.EvaluateInto(&p.eval, p.zeros, m)
+	latency := p.eval.MemLoad.Latency
 
-	var bestSteps []int
-	var bestEval Eval
-	found := false
+	bestSER, found := 0.0, false
 	for round := 0; round < 2; round++ {
-		steps, ok := p.dSweep(ev, m, latency, base, limits)
+		var ok bool
+		p.cand, ok = coreSearch(p.cand, ev, m, latency, ev.BaselineTPI(), limits)
 		if !ok {
 			break
 		}
-		e := ev.Evaluate(steps, m) // joint verification
-		if !WithinBound(e, limits) {
+		ev.EvaluateInto(&p.eval, p.cand, m) // joint verification
+		if !WithinBound(p.eval, limits) {
 			// The fixed-latency estimate was optimistic; tighten by
 			// raising the latency estimate and retrying once.
-			latency = e.MemLoad.Latency
+			latency = p.eval.MemLoad.Latency
 			continue
 		}
-		if !found || e.SER < bestEval.SER {
-			bestSteps, bestEval, found = steps, e, true
+		if !found || p.eval.SER < bestSER {
+			bestSER, found = p.eval.SER, true
+			p.memBest = perf.Grow(p.memBest, len(p.cand))
+			copy(p.memBest, p.cand)
 		}
-		latency = e.MemLoad.Latency
+		latency = p.eval.MemLoad.Latency
 	}
-	return bestSteps, bestEval, found
-}
-
-// dSweep returns the SER-minimizing core steps for a fixed memory step and
-// latency estimate.
-func (p *Offline) dSweep(ev *Evaluator, m int, latency float64, refTPI, limits []float64) ([]int, bool) {
-	n := p.cfg.NCores
-	ladder := p.cfg.CoreLadder
-	stats := ev.Stats()
-
-	//hot:alloc-ok offline oracle baseline: full-ladder sweep dominates; clarity over scratch reuse
-	slow := make([][]float64, n)
-	var cands []float64
-	for i := 0; i < n; i++ {
-		//hot:alloc-ok offline oracle baseline: full-ladder sweep dominates; clarity over scratch reuse
-		slow[i] = make([]float64, ladder.Steps())
-		for s := 0; s < ladder.Steps(); s++ {
-			sd := stats[i].TPI(ladder.Hz(s), latency) / refTPI[i]
-			slow[i][s] = sd
-			if sd <= limits[i]*(1+1e-12) {
-				cands = append(cands, sd)
-			}
-		}
-	}
-	cands = append(cands, 1)
-	sort.Float64s(cands)
-
-	var best []int
-	bestSER := math.Inf(1)
-	prev := math.NaN()
-	for _, d := range cands {
-		//lint:ignore floateq exact dedup of sorted candidates; a tolerance would merge distinct settings
-		if d == prev {
-			continue
-		}
-		prev = d
-		steps := assembleSteps(slow, limits, d)
-		e := ev.EvaluateFixedLatency(steps, m, latency)
-		if !withinRef(e, refTPI, limits) {
-			continue
-		}
-		if ser := serAgainst(ev, e); ser < bestSER {
-			bestSER, best = ser, steps
-		}
-	}
-	return best, best != nil
-}
-
-// Observe implements Policy.
-func (p *Offline) Observe(epoch Observation) {
-	p.slack.RecordEpochFor(epoch.CoreThreads(), TMaxForEpoch(p.cfg, epoch, ZeroSteps(p.cfg.NCores), 0), epoch.Window)
+	return bestSER, found
 }

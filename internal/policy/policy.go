@@ -205,6 +205,7 @@ type Evaluator struct {
 	cores    []power.CoreOp
 	maxSteps []int
 	tmaxEval Eval
+	sweep    coreSweep // fixed-latency core sweep scratch (coreSearch)
 
 	// Memoized per-epoch prediction tables (active when UseTables is set)
 	// plus the platform-derived columns they are built over. plat is
@@ -379,32 +380,6 @@ func (ev *Evaluator) EvaluateInto(dst *Eval, coreSteps []int, memStep int) {
 	}
 }
 
-// EvaluateFixedLatency predicts per-core TPI with the memory system pinned
-// at a fixed latency (the Uncoordinated/Semi-coordinated CPU managers'
-// assumption that "memory behaviour will stay the same"). Power is still
-// evaluated fully.
-func (ev *Evaluator) EvaluateFixedLatency(coreSteps []int, memStep int, latency float64) Eval {
-	hz := ev.coreHz(coreSteps)
-	//hot:alloc-ok result escapes: the returned Eval owns its TPI/Slowdown slices
-	e := Eval{TPI: make([]float64, len(ev.stats)), Slowdown: make([]float64, len(ev.stats))}
-	for i, s := range ev.stats {
-		e.TPI[i] = s.TPI(hz[i], latency)
-	}
-	e.MemLoad = memsys.Load{Latency: latency, XiBus: 1, XiBank: 1, UtilBus: ev.obs.UtilBus}
-	ev.finish(&e, coreSteps, hz, memStep, e.memRate(ev.stats))
-	return e
-}
-
-func (e *Eval) memRate(stats []perf.CoreStats) float64 {
-	rate := 0.0
-	for i, tpi := range e.TPI {
-		if tpi > 0 && !math.IsInf(tpi, 0) {
-			rate += stats[i].MemPerInstr / tpi
-		}
-	}
-	return rate
-}
-
 // coreHz fills the evaluator's frequency scratch; the returned slice is
 // valid until the next coreHz call.
 //
@@ -496,22 +471,31 @@ func (ev *Evaluator) finishTables(e *Eval, coreSteps []int, memStep int, memRate
 		maxSlow = 1
 	}
 	e.MaxSlow = maxSlow
+	u := ev.memUsage(ev.plat.MemHz[memStep], ev.plat.MemV[memStep], memRate, e.MemLoad.UtilBus)
+	e.Power = ev.Cfg.Power.TotalFromCPU(cpu, l2Rate, u)
+}
+
+// memUsage is the memory-power input at one memory step (bus frequency and
+// controller voltage) for a predicted request rate, with rank busy time
+// scaled from the observation's busy time per request.
+//
+//hot:path
+func (ev *Evaluator) memUsage(busHz, mcVolts, memRate, utilBus float64) power.MemUsage {
 	busy := ev.busyPerReq * memRate
 	if busy > 1 {
 		busy = 1
 	}
 	// Split traffic into reads and writes in the observed proportion; the
 	// energy model treats them symmetrically anyway.
-	u := power.MemUsage{
-		BusHz:     ev.plat.MemHz[memStep],
-		MCVolts:   ev.plat.MemV[memStep],
+	return power.MemUsage{
+		BusHz:     busHz,
+		MCVolts:   mcVolts,
 		ReadRate:  memRate * 0.8,
 		WriteRate: memRate * 0.2,
 		ActRate:   memRate,
-		UtilBus:   e.MemLoad.UtilBus,
+		UtilBus:   utilBus,
 		BusyFrac:  busy,
 	}
-	e.Power = ev.Cfg.Power.TotalFromCPU(cpu, l2Rate, u)
 }
 
 // Tables exposes the memoized per-epoch prediction tables so callers on the
@@ -575,22 +559,7 @@ func (ev *Evaluator) finish(e *Eval, coreSteps []int, hz []float64, memStep int,
 		}
 		l2Rate += ips * ev.obs.Cores[i].L2PerInstr
 	}
-	busHz := ev.Cfg.MemLadder.Hz(memStep)
-	busy := ev.busyPerReq * memRate
-	if busy > 1 {
-		busy = 1
-	}
-	// Split traffic into reads and writes in the observed proportion; the
-	// energy model treats them symmetrically anyway.
-	u := power.MemUsage{
-		BusHz:     busHz,
-		MCVolts:   ev.Cfg.MemLadder.Volts(memStep),
-		ReadRate:  memRate * 0.8,
-		WriteRate: memRate * 0.2,
-		ActRate:   memRate,
-		UtilBus:   e.MemLoad.UtilBus,
-		BusyFrac:  busy,
-	}
+	u := ev.memUsage(ev.Cfg.MemLadder.Hz(memStep), ev.Cfg.MemLadder.Volts(memStep), memRate, e.MemLoad.UtilBus)
 	e.Power = ev.Cfg.Power.Total(cores, l2Rate, u)
 }
 

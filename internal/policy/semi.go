@@ -1,5 +1,7 @@
 package policy
 
+import "coscale/internal/perf"
+
 // SemiCoordinated increases coordination slightly over Uncoordinated (§3.2
 // alternative 4): the CPU and memory managers share one slack estimate —
 // each is aware of the past CPI degradation produced by the other, so the
@@ -8,8 +10,7 @@ package policy
 // the other's simultaneous move, the pair over-corrects in both directions,
 // producing the oscillations and local minima of Figures 1, 4 and 7(c).
 type SemiCoordinated struct {
-	cfg   Config
-	slack *SlackBook
+	managed
 
 	// OutOfPhase makes the managers act on alternate epochs (the §4.2.2
 	// half-epoch phase-shift variant: less oscillation, earlier local
@@ -25,7 +26,7 @@ func NewSemiCoordinated(cfg Config) (*SemiCoordinated, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &SemiCoordinated{cfg: cfg, slack: NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve)}, nil
+	return &SemiCoordinated{managed: newManaged(cfg)}, nil
 }
 
 // Name implements Policy.
@@ -36,31 +37,38 @@ func (p *SemiCoordinated) Name() string {
 	return "Semi-coordinated"
 }
 
-// Decide implements Policy.
+// Decide implements Policy. The decision's CoreSteps alias the policy's
+// scratch until the next Decide.
+//
+//hot:path
 func (p *SemiCoordinated) Decide(obs Observation) Decision {
 	p.epoch++
-	ev := NewEvaluator(p.cfg, obs)
-	limits := p.cfg.Limits(p.slack.AvailableFor(obs.CoreThreads()))
-	base := ev.Baseline().TPI
+	limits := p.reset(obs)
+	base := p.ev.BaselineTPI()
 
 	// Both managers measure degradation against the shared all-max
 	// reference (that is the coordination), but each plans as if the
-	// other component keeps its current frequency.
-	coreSteps := coreSearch(ev, obs.MemStep, obs.MemLatency, base, limits)
-	memStep := memSearch(ev, obs.CoreSteps, base, limits)
-
-	if p.OutOfPhase {
-		if p.epoch%2 == 1 {
-			memStep = obs.MemStep // memory manager sits this epoch out
-		} else {
-			coreSteps = append([]int(nil), obs.CoreSteps...)
-		}
+	// other component keeps its current frequency. Out of phase, the
+	// memory manager sits odd epochs out and the CPU manager even ones.
+	coreTurn := !p.OutOfPhase || p.epoch%2 == 1
+	memTurn := !p.OutOfPhase || p.epoch%2 == 0
+	memStep := obs.MemStep
+	if coreTurn {
+		p.steps, _ = coreSearch(p.steps, p.ev, obs.MemStep, obs.MemLatency, base, limits)
+	} else {
+		p.steps = perf.Grow(p.steps, len(obs.CoreSteps))
+		copy(p.steps, obs.CoreSteps)
 	}
-	return Decision{CoreSteps: coreSteps, MemStep: memStep}
+	if memTurn {
+		memStep = memSearch(p.ev, &p.eval, obs.CoreSteps, base, limits)
+	}
+	return Decision{CoreSteps: p.steps, MemStep: memStep}
 }
 
-// Observe implements Policy: shared slack bookkeeping against the joint
+// Observe implements Policy: end-of-epoch slack accounting against the
 // all-max reference.
+//
+//hot:path
 func (p *SemiCoordinated) Observe(epoch Observation) {
-	p.slack.RecordEpochFor(epoch.CoreThreads(), TMaxForEpoch(p.cfg, epoch, ZeroSteps(p.cfg.NCores), 0), epoch.Window)
+	p.slack.RecordEpochFor(p.threadsFor(epoch), p.tmaxFor(epoch), epoch.Window)
 }

@@ -102,3 +102,68 @@ func TMaxForEpoch(cfg Config, epoch Observation, coreSteps []int, memStep int) [
 //
 //lint:ignore hotprop result escapes: callers keep the returned step vector
 func ZeroSteps(n int) []int { return make([]int, n) }
+
+// managed is the state the slack-accounting comparison policies (MemScale,
+// CPUOnly, Semi-coordinated, Offline) share: the slack book, a table-mode
+// evaluator reset on every Decide and Observe, and the scratch both reuse,
+// so their steady-state epochs allocate nothing (DESIGN.md §7). A
+// Decision's CoreSteps alias steps until the next Decide.
+type managed struct {
+	cfg   Config
+	slack *SlackBook
+	ev    *Evaluator
+
+	eval     Eval      // memSearch and joint-verification scratch
+	zeros    []int     // all-max step vector, never written after sizing
+	steps    []int     // the returned Decision's CoreSteps
+	identity []int     // thread mapping when an observation carries none
+	avail    []float64 // per-thread slack
+	limits   []float64 // per-core slowdown limits
+	tmax     []float64 // all-max reference times for slack accounting
+}
+
+func newManaged(cfg Config) managed {
+	return managed{
+		cfg:   cfg,
+		slack: NewSlackBook(cfg.NCores, cfg.Gamma, cfg.Reserve),
+		ev:    &Evaluator{UseTables: true},
+		zeros: make([]int, cfg.NCores),
+	}
+}
+
+// threadsFor is Observation.CoreThreads without allocating the identity
+// mapping.
+//
+//hot:path
+func (m *managed) threadsFor(obs Observation) []int {
+	if obs.ThreadIDs != nil {
+		return obs.ThreadIDs
+	}
+	m.identity = perf.Grow(m.identity, len(obs.Cores))
+	for i := range m.identity {
+		m.identity[i] = i
+	}
+	return m.identity
+}
+
+// reset points the evaluator at obs and returns the per-core slowdown
+// limits its accumulated slack allows (Config.Limits).
+//
+//hot:path
+func (m *managed) reset(obs Observation) []float64 {
+	m.ev.Reset(m.cfg, obs)
+	m.avail = m.slack.AvailableInto(m.avail, m.threadsFor(obs))
+	m.limits = m.cfg.LimitsInto(m.limits, m.avail)
+	return m.limits
+}
+
+// tmaxFor returns the all-max reference times of epoch's committed
+// instructions (TMaxForEpoch on the policy's own evaluator), the slack
+// accounting input of every Observe.
+//
+//hot:path
+func (m *managed) tmaxFor(epoch Observation) []float64 {
+	m.ev.Reset(m.cfg, epoch)
+	m.tmax = m.ev.TMaxInto(m.tmax, m.zeros, 0)
+	return m.tmax
+}

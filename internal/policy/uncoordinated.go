@@ -12,6 +12,15 @@ package policy
 // 2γ — the bound violations Figure 9 shows.
 type Uncoordinated struct {
 	cfg Config
+	ev  *Evaluator
+
+	// Steady-state scratch; a Decision's CoreSteps alias steps until the
+	// next Decide.
+	ref    Eval // the CPU manager's, then the memory manager's reference
+	eval   Eval // memSearch scratch
+	zeros  []int
+	steps  []int
+	limits []float64
 }
 
 // NewUncoordinated returns the uncoordinated two-manager policy, or the
@@ -20,41 +29,42 @@ func NewUncoordinated(cfg Config) (*Uncoordinated, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Uncoordinated{cfg: cfg}, nil
+	limits := make([]float64, cfg.NCores)
+	for i := range limits {
+		limits[i] = 1 + cfg.Gamma
+	}
+	return &Uncoordinated{
+		cfg:    cfg,
+		ev:     &Evaluator{UseTables: true},
+		zeros:  make([]int, cfg.NCores),
+		limits: limits,
+	}, nil
 }
 
 // Name implements Policy.
 func (p *Uncoordinated) Name() string { return "Uncoordinated" }
 
 // Decide implements Policy.
+//
+//hot:path
 func (p *Uncoordinated) Decide(obs Observation) Decision {
-	ev := NewEvaluator(p.cfg, obs)
-	n := p.cfg.NCores
+	ev := p.ev
+	ev.Reset(p.cfg, obs)
 
 	// CPU manager: reference is cores-at-max with memory at its current
-	// frequency; fresh per-epoch allowance of γ per core.
-	cpuRef := ev.Evaluate(ZeroSteps(n), obs.MemStep)
-	limits := uniformLimits(n, 1+p.cfg.Gamma)
-	coreSteps := coreSearch(ev, obs.MemStep, cpuRef.MemLoad.Latency, cpuRef.TPI, limits)
+	// frequency; fresh per-epoch allowance of γ per core (p.limits).
+	ev.EvaluateInto(&p.ref, p.zeros, obs.MemStep)
+	p.steps, _ = coreSearch(p.steps, ev, obs.MemStep, p.ref.MemLoad.Latency, p.ref.TPI, p.limits)
 
 	// Memory manager: reference is memory-at-max with cores at their
 	// current frequencies; same fresh allowance.
-	memRef := ev.Evaluate(obs.CoreSteps, 0)
-	memStep := memSearch(ev, obs.CoreSteps, memRef.TPI, limits)
+	ev.EvaluateInto(&p.ref, obs.CoreSteps, 0)
+	memStep := memSearch(ev, &p.eval, obs.CoreSteps, p.ref.TPI, p.limits)
 
 	// Both managers' decisions take effect simultaneously.
-	return Decision{CoreSteps: coreSteps, MemStep: memStep}
+	return Decision{CoreSteps: p.steps, MemStep: memStep}
 }
 
 // Observe implements Policy: the managers deliberately keep no cross-epoch
 // slack state ("assumes it has accumulated no CPI degradation").
 func (p *Uncoordinated) Observe(Observation) {}
-
-func uniformLimits(n int, v float64) []float64 {
-	//hot:alloc-ok result escapes: callers keep the returned limit vector
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
-}
