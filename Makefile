@@ -30,7 +30,7 @@ bench:
 bench-smoke:
 	$(GO) test -run 'ZeroAlloc|DeterministicUnderReuse|GoldenBitIdentical' -count=1 . ./internal/sim
 	GOMAXPROCS=1 $(GO) test -run 'ZeroAlloc|DeterministicUnderReuse|GoldenBitIdentical' -count=1 . ./internal/sim
-	$(GO) test -bench 'BenchmarkSearch16Cores|BenchmarkEpochSimulation|BenchmarkOfflineDecide16Cores|BenchmarkCPUOnlyDecide16Cores' -benchtime=1x -benchmem -run='^$$' .
+	$(GO) test -bench 'BenchmarkSearch16Cores|BenchmarkEpochSimulation|BenchmarkBaselineRun16Cores|BenchmarkBaselineRun1024Cores|BenchmarkOfflineDecide16Cores|BenchmarkCPUOnlyDecide16Cores' -benchtime=1x -benchmem -run='^$$' .
 	$(MAKE) bench-compare
 
 ## bit-identity: the parallel-vs-serial determinism gate behind DESIGN.md §11

@@ -533,6 +533,40 @@ func BenchmarkFrontier16Cores(b *testing.B)  { benchFrontier(b, 16) }
 func BenchmarkFrontier64Cores(b *testing.B)  { benchFrontier(b, 64) }
 func BenchmarkFrontier256Cores(b *testing.B) { benchFrontier(b, 256) }
 
+// benchBaselineRun times the simulation substrate alone: a no-policy engine
+// (DESIGN.md §4) built and warmed once, then rewound per iteration, so the
+// number is ground-truth sampling, the fixed-point solve and integration,
+// with no controller in the loop.
+func benchBaselineRun(b *testing.B, mix string, copies int, budget uint64) {
+	cfg, err := experiments.BaselineRunConfig(mix, copies, budget)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := sim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Reset()
+		if _, err := eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBaselineRun16Cores is the substrate under BenchmarkEpochSimulation
+// (MID1, same budget); the difference between the two is the controller.
+func BenchmarkBaselineRun16Cores(b *testing.B) { benchBaselineRun(b, "MID1", 4, benchBudget) }
+
+// BenchmarkBaselineRun1024Cores is the e2ebench many-core substrate: a MIX1
+// mix with 256 copies of each program on 256 channels at 75M instructions.
+func BenchmarkBaselineRun1024Cores(b *testing.B) { benchBaselineRun(b, "MIX1", 256, 75_000_000) }
+
 // BenchmarkEpochSimulation measures raw fast-backend throughput in steady
 // state: the engine and controller are built once and rewound per iteration
 // (both Resets are bit-identity-preserving), so the number is simulation

@@ -327,6 +327,41 @@ func main() {
 		}
 	}))
 
+	// The substrate alone: a no-policy engine built and warmed once, then
+	// rewound per iteration — MID1 at the EpochSimulation budget, and the
+	// e2ebench many-core shape (MIX1 ×256 on 256 channels, 75M).
+	for _, sr := range []struct {
+		name   string
+		mix    string
+		copies int
+		budget uint64
+	}{
+		{"BaselineRun16Cores", "MID1", 4, *epochBudget},
+		{"BaselineRun1024Cores", "MIX1", 256, 75_000_000},
+	} {
+		cfg, err := experiments.BaselineRunConfig(sr.mix, sr.copies, sr.budget)
+		if err != nil {
+			log.Fatal(err)
+		}
+		eng, err := sim.New(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if _, err := eng.Run(); err != nil {
+			log.Fatal(err)
+		}
+		rep.Benchmarks = append(rep.Benchmarks, bench(sr.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Reset()
+				if _, err := eng.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+	}
+
 	// Figure 8/9: the six-policy sweep whose shared-baseline caching this
 	// file's numbers guard (one baseline simulation per mix, not six).
 	r := experiments.NewRunner(*figureBudget)

@@ -46,22 +46,30 @@ type Core struct {
 // Sub returns the counter deltas c - start. All fields must be monotonically
 // non-decreasing between the two snapshots.
 func (c Core) Sub(start Core) Core {
-	return Core{
-		Cycles:         c.Cycles - start.Cycles,
-		TIC:            c.TIC - start.TIC,
-		TMS:            c.TMS - start.TMS,
-		TLA:            c.TLA - start.TLA,
-		TLM:            c.TLM - start.TLM,
-		TLS:            c.TLS - start.TLS,
-		ALUOps:         c.ALUOps - start.ALUOps,
-		FPUOps:         c.FPUOps - start.FPUOps,
-		Branches:       c.Branches - start.Branches,
-		LoadStores:     c.LoadStores - start.LoadStores,
-		StallCyclesL2:  c.StallCyclesL2 - start.StallCyclesL2,
-		StallCyclesMem: c.StallCyclesMem - start.StallCyclesMem,
-		L2Writebacks:   c.L2Writebacks - start.L2Writebacks,
-		PrefetchFills:  c.PrefetchFills - start.PrefetchFills,
-	}
+	var d Core
+	d.setSub(&c, &start)
+	return d
+}
+
+// setSub stores c - start into d through pointers, so the per-epoch delta
+// loop copies no 14-field struct by value.
+//
+//hot:path
+func (d *Core) setSub(c, start *Core) {
+	d.Cycles = c.Cycles - start.Cycles
+	d.TIC = c.TIC - start.TIC
+	d.TMS = c.TMS - start.TMS
+	d.TLA = c.TLA - start.TLA
+	d.TLM = c.TLM - start.TLM
+	d.TLS = c.TLS - start.TLS
+	d.ALUOps = c.ALUOps - start.ALUOps
+	d.FPUOps = c.FPUOps - start.FPUOps
+	d.Branches = c.Branches - start.Branches
+	d.LoadStores = c.LoadStores - start.LoadStores
+	d.StallCyclesL2 = c.StallCyclesL2 - start.StallCyclesL2
+	d.StallCyclesMem = c.StallCyclesMem - start.StallCyclesMem
+	d.L2Writebacks = c.L2Writebacks - start.L2Writebacks
+	d.PrefetchFills = c.PrefetchFills - start.PrefetchFills
 }
 
 // Add accumulates d into c.
@@ -147,22 +155,29 @@ type Channel struct {
 
 // Sub returns the counter deltas c - start.
 func (c Channel) Sub(start Channel) Channel {
-	return Channel{
-		BusCycles:          c.BusCycles - start.BusCycles,
-		Reads:              c.Reads - start.Reads,
-		Writes:             c.Writes - start.Writes,
-		Prefetches:         c.Prefetches - start.Prefetches,
-		ReadQueueOccupancy: c.ReadQueueOccupancy - start.ReadQueueOccupancy,
-		BankOccupancy:      c.BankOccupancy - start.BankOccupancy,
-		BusBusyCycles:      c.BusBusyCycles - start.BusBusyCycles,
-		LatencyCycles:      c.LatencyCycles - start.LatencyCycles,
-		RowHits:            c.RowHits - start.RowHits,
-		RowMisses:          c.RowMisses - start.RowMisses,
-		ActiveCycles:       c.ActiveCycles - start.ActiveCycles,
-		IdleCycles:         c.IdleCycles - start.IdleCycles,
-		PageOpens:          c.PageOpens - start.PageOpens,
-		PageCloses:         c.PageCloses - start.PageCloses,
-	}
+	var d Channel
+	d.setSub(&c, &start)
+	return d
+}
+
+// setSub stores c - start into d through pointers (see Core.setSub).
+//
+//hot:path
+func (d *Channel) setSub(c, start *Channel) {
+	d.BusCycles = c.BusCycles - start.BusCycles
+	d.Reads = c.Reads - start.Reads
+	d.Writes = c.Writes - start.Writes
+	d.Prefetches = c.Prefetches - start.Prefetches
+	d.ReadQueueOccupancy = c.ReadQueueOccupancy - start.ReadQueueOccupancy
+	d.BankOccupancy = c.BankOccupancy - start.BankOccupancy
+	d.BusBusyCycles = c.BusBusyCycles - start.BusBusyCycles
+	d.LatencyCycles = c.LatencyCycles - start.LatencyCycles
+	d.RowHits = c.RowHits - start.RowHits
+	d.RowMisses = c.RowMisses - start.RowMisses
+	d.ActiveCycles = c.ActiveCycles - start.ActiveCycles
+	d.IdleCycles = c.IdleCycles - start.IdleCycles
+	d.PageOpens = c.PageOpens - start.PageOpens
+	d.PageCloses = c.PageCloses - start.PageCloses
 }
 
 // Add accumulates d into c.
@@ -268,10 +283,10 @@ func (s *System) SubInto(dst *System, start *System) {
 	dst.Cores = perf.Grow(dst.Cores, len(s.Cores))
 	dst.Channels = perf.Grow(dst.Channels, len(s.Channels))
 	for i := range s.Cores {
-		dst.Cores[i] = s.Cores[i].Sub(start.Cores[i])
+		dst.Cores[i].setSub(&s.Cores[i], &start.Cores[i])
 	}
 	for i := range s.Channels {
-		dst.Channels[i] = s.Channels[i].Sub(start.Channels[i])
+		dst.Channels[i].setSub(&s.Channels[i], &start.Channels[i])
 	}
 }
 
@@ -283,10 +298,10 @@ func (s System) Sub(start System) System {
 		Channels: make([]Channel, len(s.Channels)),
 	}
 	for i := range s.Cores {
-		out.Cores[i] = s.Cores[i].Sub(start.Cores[i])
+		out.Cores[i].setSub(&s.Cores[i], &start.Cores[i])
 	}
 	for i := range s.Channels {
-		out.Channels[i] = s.Channels[i].Sub(start.Channels[i])
+		out.Channels[i].setSub(&s.Channels[i], &start.Channels[i])
 	}
 	return out
 }

@@ -9,8 +9,26 @@ import (
 	"coscale/internal/perf"
 	"coscale/internal/policy"
 	"coscale/internal/power"
+	"coscale/internal/sim"
 	"coscale/internal/trace"
+	"coscale/internal/workload"
 )
+
+// BaselineRunConfig is the no-policy run behind the BaselineRun substrate
+// benchmarks (bench_test.go and cmd/coscale-bench): the Table 1 mix with
+// copies copies of each program and one memory channel per four cores, as
+// on the e2ebench many-core platform. With no policy every core and the bus
+// stay at maximum frequency, so a run times the simulation substrate alone.
+func BaselineRunConfig(mix string, copies int, budget uint64) (sim.Config, error) {
+	m, err := workload.Get(mix)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	m.Copies = copies
+	mem := memsys.DefaultParams()
+	mem.Channels = (m.Cores() + 3) / 4
+	return sim.Config{Mix: m, Mem: mem, InstrBudget: budget}, nil
+}
 
 // SearchBenchObs builds the synthetic profiling observation behind the §3.1
 // search-cost benchmarks (BenchmarkSearch16/64/128Cores) and cmd/coscale-bench:

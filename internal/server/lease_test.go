@@ -7,7 +7,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -170,29 +172,103 @@ func TestReadyzPayload(t *testing.T) {
 	}
 }
 
-// smallWriteBufListener shrinks each accepted connection's kernel send
-// buffer so a non-reading client backs the server's writes up quickly.
-type smallWriteBufListener struct{ net.Listener }
+// budgetListener hands out connections that stall their writes after a
+// fixed byte budget (budgetConn).
+type budgetListener struct {
+	net.Listener
+	budget int
+}
 
-func (l smallWriteBufListener) Accept() (net.Conn, error) {
+func (l budgetListener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
-	if tc, ok := c.(*net.TCPConn); err == nil && ok {
-		_ = tc.SetWriteBuffer(4 << 10)
+	if err != nil {
+		return nil, err
 	}
-	return c, err
+	return &budgetConn{Conn: c, left: l.budget, closed: make(chan struct{})}, nil
+}
+
+// budgetConn passes writes through until its byte budget is spent and then
+// blocks every further write, the way writes to a peer that stopped reading
+// block once the socket buffers are full — but at a fixed byte count rather
+// than at whatever size the kernel gave the buffers. A blocked write returns
+// os.ErrDeadlineExceeded when the write deadline passes, or net.ErrClosed
+// when the connection closes.
+type budgetConn struct {
+	net.Conn
+	mu        sync.Mutex
+	left      int
+	deadline  time.Time
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (c *budgetConn) SetDeadline(t time.Time) error {
+	c.setWriteDeadline(t)
+	return c.Conn.SetDeadline(t)
+}
+
+func (c *budgetConn) SetWriteDeadline(t time.Time) error {
+	c.setWriteDeadline(t)
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *budgetConn) setWriteDeadline(t time.Time) {
+	c.mu.Lock()
+	c.deadline = t
+	c.mu.Unlock()
+}
+
+func (c *budgetConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+func (c *budgetConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	n := min(len(p), c.left)
+	c.left -= n
+	deadline := c.deadline
+	c.mu.Unlock()
+	if n > 0 {
+		if w, err := c.Conn.Write(p[:n]); err != nil {
+			return w, err
+		}
+	}
+	if n == len(p) {
+		return n, nil
+	}
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case <-expired:
+		return n, os.ErrDeadlineExceeded
+	case <-c.closed:
+		return n, net.ErrClosed
+	}
 }
 
 // TestStreamWriteDeadlineDropsStalledClient connects a client that requests
-// an NDJSON stream and then never reads it. Once the socket buffers fill,
-// the per-write deadline must trip, the handler must exit (freeing its
-// goroutine), and the drop must surface as coscale_streams_dropped_total.
+// an NDJSON stream and then never reads it. Once the connection stops taking
+// writes, the per-write deadline must trip, the handler must exit (freeing
+// its goroutine), and the drop must surface as coscale_streams_dropped_total.
 // The job itself keeps running and stays cancellable.
+//
+// The stalled client reaches the service through a second listener whose
+// connections stop taking writes after 4 KiB (budgetConn), so the stall
+// does not depend on the kernel's socket-buffer sizing; the first listener
+// serves the test's own requests unthrottled.
 func TestStreamWriteDeadlineDropsStalledClient(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4, StreamWriteTimeout: 250 * time.Millisecond})
-	ts := httptest.NewUnstartedServer(s.Handler())
-	ts.Listener = smallWriteBufListener{ts.Listener}
-	ts.Start()
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	stalled := httptest.NewUnstartedServer(s.Handler())
+	stalled.Listener = budgetListener{stalled.Listener, 4 << 10}
+	stalled.Start()
+	defer stalled.Close()
 	client := ts.Client()
 
 	// A long streaming job produces epoch lines continuously.
@@ -204,16 +280,12 @@ func TestStreamWriteDeadlineDropsStalledClient(t *testing.T) {
 	job := decodeJob(t, body)
 	waitState(t, client, ts.URL, job.ID, StateRunning)
 
-	// A raw connection that sends the stream request and then stalls: no
-	// reads, tiny receive buffer, so backpressure reaches the server fast.
-	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	// A raw connection that sends the stream request and then never reads.
+	conn, err := net.Dial("tcp", stalled.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		_ = tc.SetReadBuffer(4 << 10)
-	}
 	fmt.Fprintf(conn, "GET /v1/jobs/%s/stream HTTP/1.1\r\nHost: stalled\r\n\r\n", job.ID)
 
 	deadline := time.Now().Add(30 * time.Second)

@@ -595,7 +595,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	renewDeadline := func() {
 		if s.cfg.StreamWriteTimeout > 0 {
@@ -610,6 +609,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 			s.logf("job %s: stream dropped (client stalled past %s)", j.ID, s.cfg.StreamWriteTimeout)
 		}
 		return nil // in either case the stream is over; the job keeps running
+	}
+	// flush pushes the batch to the client. Most stalls surface here, not
+	// in Encode (which only writes through once the response buffer
+	// fills), so its error must reach streamErr too.
+	flush := func() error {
+		if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return err
+		}
+		return nil
 	}
 	enc := json.NewEncoder(w)
 	sent := 0
@@ -639,13 +647,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) error {
 			if err := enc.Encode(final); err != nil {
 				return streamErr(err)
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
+			return streamErr(flush())
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if err := flush(); err != nil {
+			return streamErr(err)
 		}
 		select {
 		case <-r.Context().Done():

@@ -223,6 +223,16 @@ type Engine struct {
 	delta     counters.System
 	obsDecide policy.Observation
 	obsEpoch  policy.Observation
+
+	// Ground-truth memo (DESIGN.md §7). st is a pure function of the
+	// thread→core map and each thread's trace phase; solveRes is a pure
+	// function of st and the current core and memory steps. stOK keeps st
+	// while every thread's fraction stays in its sampler's memoized phase;
+	// solveOK keeps solveRes. Four sites clear them: migration (stOK), a
+	// trueStats recompute and a step change in applyDecision (solveOK), and
+	// Reset (both).
+	stOK    bool
+	solveOK bool
 }
 
 // New constructs an engine; the configuration is validated and defaulted.
@@ -317,10 +327,11 @@ func (e *Engine) Reset() {
 		e.reported[i] = 0
 		e.finish[i] = 0
 	}
-	for th := range e.samplers {
-		e.samplers[th].Reset(e.profiles[th])
-	}
 	e.memStep = 0
+	// The samplers keep their phase memo: it is a pure function of the
+	// unchanged profiles. The ground-truth memo is dropped instead, since
+	// the thread→core map and the steps just changed under it.
+	e.stOK, e.solveOK = false, false
 	e.wall = 0
 	e.energy = Energy{}
 	e.records = nil
@@ -350,19 +361,35 @@ type trueState struct {
 	wbPKI     []float64 // writebacks PKI
 }
 
+// frac is software thread th's position in its trace, as a fraction of the
+// instruction budget.
+//
+//hot:path
+func (e *Engine) frac(th int) float64 {
+	frac := e.instr[th] / float64(e.cfg.InstrBudget)
+	return frac - math.Floor(frac) // finished apps keep running, wrapped
+}
+
 // trueStats samples every application's profile at its current position and
 // applies the shared-LLC contention model, prefetcher and MLP settings. The
 // returned state points at the engine's scratch buffers and is valid until
 // the next trueStats call.
 //
+// The state depends only on the thread→core map and each thread's phase, so
+// while the map is unchanged (stOK) and every thread's fraction stays in the
+// phase its sampler memoized, the previous state is returned as is. A
+// recompute invalidates the memoized solve.
+//
 //hot:path
 func (e *Engine) trueStats() *trueState {
-	n := len(e.profiles)
 	st := &e.st
+	if e.stOK && e.phasesHold() {
+		return st
+	}
+	n := len(e.profiles)
 	for i := 0; i < n; i++ {
 		th := e.perm[i]
-		frac := e.instr[th] / float64(e.cfg.InstrBudget)
-		frac -= math.Floor(frac) // finished apps keep running, wrapped
+		frac := e.frac(th)
 		e.fracs[i] = frac
 		e.weights[i] = e.samplers[th].At(frac).L2APKI
 	}
@@ -396,7 +423,35 @@ func (e *Engine) trueStats() *trueState {
 		st.fillPKI[i] = fills
 		st.wbPKI[i] = wb
 	}
+	e.stOK, e.solveOK = true, false
 	return st
+}
+
+// phasesHold reports whether every thread's current fraction lies in the
+// phase its sampler last returned.
+//
+//hot:path
+func (e *Engine) phasesHold() bool {
+	for th := range e.samplers {
+		if !e.samplers[th].Holds(e.frac(th)) {
+			return false
+		}
+	}
+	return true
+}
+
+// solve returns the joint fixed point of st (the engine's ground truth) at
+// the current core and memory steps, reusing the previous solve while
+// solveOK holds. The result is the engine's scratch, valid until the next
+// solve that recomputes.
+//
+//hot:path
+func (e *Engine) solve(st *trueState, hz []float64) *perf.Result {
+	if !e.solveOK {
+		e.solver.SolveInto(&e.solveRes, st.stats, hz, e.cfg.MemLadder.Hz(e.memStep))
+		e.solveOK = true
+	}
+	return &e.solveRes
 }
 
 // coreHz fills the engine's frequency scratch from the current ladder steps.
@@ -423,8 +478,7 @@ func (e *Engine) advance(dt float64, st *trueState, dead []float64) {
 	}
 	hz := e.coreHz()
 	busHz := e.cfg.MemLadder.Hz(e.memStep)
-	e.solver.SolveInto(&e.solveRes, st.stats, hz, busHz)
-	res := &e.solveRes
+	res := e.solve(st, hz)
 
 	var reads, writes, l2Rate float64
 	cores := perf.Grow(e.powerOps, len(hz))
@@ -580,7 +634,8 @@ func (e *Engine) observationInto(obs *policy.Observation, delta *counters.System
 	obs.BusyFrac = 0
 	busHz := e.cfg.MemLadder.Hz(e.memStep)
 	var reads, writes, latencyCycles, busCycles, busBusy, active uint64
-	for _, ch := range delta.Channels {
+	for i := range delta.Channels {
+		ch := &delta.Channels[i]
 		reads += ch.Reads
 		writes += ch.Writes
 		latencyCycles += ch.LatencyCycles
@@ -600,7 +655,7 @@ func (e *Engine) observationInto(obs *policy.Observation, delta *counters.System
 	}
 
 	for i := range delta.Cores {
-		c := delta.Cores[i]
+		c := &delta.Cores[i]
 		hz := e.cfg.CoreLadder.Hz(e.coreSteps[i])
 		co := policy.CoreObs{Instructions: c.TIC}
 		if c.TIC > 0 {
@@ -654,10 +709,7 @@ func (e *Engine) observationInto(obs *policy.Observation, delta *counters.System
 //
 //hot:path
 func (e *Engine) oracleObservationInto(obs *policy.Observation, st *trueState) {
-	hz := e.coreHz()
-	busHz := e.cfg.MemLadder.Hz(e.memStep)
-	e.solver.SolveInto(&e.solveRes, st.stats, hz, busHz)
-	res := &e.solveRes
+	res := e.solve(st, e.coreHz())
 	obs.Window = e.cfg.EpochLen.Seconds()
 	obs.CoreSteps = perf.Grow(obs.CoreSteps, len(e.coreSteps))
 	copy(obs.CoreSteps, e.coreSteps)
@@ -762,6 +814,7 @@ func (e *Engine) step(epoch int, oracle bool) {
 		last := e.perm[n-1]
 		copy(e.perm[1:], e.perm[:n-1])
 		e.perm[0] = last
+		e.stOK = false
 		migrateDead = contextSwitchCost
 	}
 
@@ -887,6 +940,7 @@ func (e *Engine) applyDecision(d policy.Decision, n int) []float64 {
 	if !anyDead {
 		return nil
 	}
+	e.solveOK = false
 	return dead
 }
 
@@ -895,7 +949,7 @@ func (e *Engine) applyDecision(d policy.Decision, n int) []float64 {
 func (e *Engine) epochRecord(idx int, window float64, energyDelta float64) EpochRecord {
 	st := e.trueStats()
 	hz := e.coreHz()
-	res := e.solver.Solve(st.stats, hz, e.cfg.MemLadder.Hz(e.memStep))
+	res := e.solve(st, hz)
 	maxRes := e.solver.SolveUniform(st.stats, e.cfg.CoreLadder.MaxHz(), e.cfg.MemLadder.MaxHz())
 	rec := EpochRecord{
 		Index: idx,

@@ -31,12 +31,21 @@ func (s *Sampler) Reset(p *AppProfile) {
 // Profile returns the profile the sampler reads.
 func (s *Sampler) Profile() *AppProfile { return s.p }
 
+// Holds reports whether frac lies in the memoized phase, i.e. whether At(frac)
+// and MPKI(frac, ·) would answer from the cache with the phase they last
+// returned. It is false until the first At after Reset.
+//
+//hot:path
+func (s *Sampler) Holds(frac float64) bool {
+	return s.valid && frac >= s.lo && frac < s.hi
+}
+
 // At returns the profile statistics in effect at instruction fraction frac,
 // memoizing the containing phase. Equivalent to s.Profile().At(frac).
 //
 //hot:path
 func (s *Sampler) At(frac float64) Stats {
-	if s.valid && frac >= s.lo && frac < s.hi {
+	if s.Holds(frac) {
 		return s.stats
 	}
 	p := s.p
